@@ -60,6 +60,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 SCHEMA_VERSION = 6
 DEFAULT_REPORT_NAME = "BENCH_p3q.json"
+#: Executors a run can resolve to (``auto`` resolves to one of these).
+RESOLVED_EXECUTORS = ("inline", "pool")
 
 #: Macro benchmark network sizes (the issue's N=100/500/1000 trajectory).
 DEFAULT_MACRO_SIZES = (100, 500, 1000)
@@ -1096,10 +1098,9 @@ def validate_report(report: Dict) -> List[str]:
                 )
             # Schema v4: every macro entry names the executor that actually
             # ran and the pool-reuse count (0 for non-pool executors).
-            if entry.get("engine_executor") not in ("inline", "fork", "pool"):
+            if entry.get("engine_executor") not in RESOLVED_EXECUTORS:
                 problems.append(
-                    f"macro[{size!r}].engine_executor must be "
-                    f"'inline', 'fork' or 'pool'"
+                    f"macro[{size!r}].engine_executor must be 'inline' or 'pool'"
                 )
             reuse = entry.get("pool_reuse_count")
             if not isinstance(reuse, int) or reuse < 0:
@@ -1257,10 +1258,10 @@ def validate_report(report: Dict) -> List[str]:
                             f"worker_scaling[{size!r}].{key} must be a "
                             f"positive number"
                         )
-                if entry.get("engine_executor") not in ("inline", "fork", "pool"):
+                if entry.get("engine_executor") not in RESOLVED_EXECUTORS:
                     problems.append(
                         f"worker_scaling[{size!r}].engine_executor must be "
-                        f"'inline', 'fork' or 'pool'"
+                        f"'inline' or 'pool'"
                     )
     return problems
 
@@ -1495,7 +1496,7 @@ def _print_summary(report: Dict) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m benchmarks.perf",
+        prog="python -m repro perf",
         description="P3Q performance-tracking benchmark harness",
     )
     parser.add_argument(
@@ -1559,14 +1560,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--executor",
-        choices=("auto", "inline", "fork", "pool"),
+        choices=("auto",) + RESOLVED_EXECUTORS,
         default="auto",
         help="sharded-engine executor (default: auto -- persistent pool "
         "when the machine has at least two cores, inline otherwise)",
     )
     parser.add_argument(
         "--require-executor",
-        choices=("inline", "fork", "pool"),
+        choices=RESOLVED_EXECUTORS,
         default=None,
         metavar="KIND",
         help="fail (exit 2) unless the requested workers/executor resolve "

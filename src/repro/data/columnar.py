@@ -16,7 +16,7 @@ setup time.  This module stores the same information *columnarly*:
   as a fixed-width little-endian byte row, optionally in one
   ``multiprocessing.shared_memory`` block so persistent shard workers map
   the digests once and see the parent's per-cycle row updates without any
-  re-fork or pickling.  ``row_bits_int`` round-trips a row into the
+  pickling.  ``row_bits_int`` round-trips a row into the
   bit-packed integer of :class:`~repro.bloom.BloomFilter` -- the two
   representations are the same bits by construction (the row is the OR of
   the items' probe-mask bytes; the integer is the OR of the same masks).
@@ -266,8 +266,8 @@ class DigestMatrix:
     Row ``i`` holds the little-endian bytes of user ``i``'s digest bit
     array in the given geometry, plus a version slot (``-1`` = row not
     built).  With ``shared=True`` both live in one
-    ``multiprocessing.shared_memory`` block: forked shard workers map the
-    block once at startup and observe every parent-side row update --
+    ``multiprocessing.shared_memory`` block: the pool's shard workers map
+    the block once at startup and observe every parent-side row update --
     the per-cycle delta protocol never ships digest bytes.
     """
 

@@ -4,7 +4,8 @@ This experiment goes beyond the paper: the published evaluation assumes a
 lossless network (PeerSim's direct exchanges), while the transport layer
 lets the same protocol run under packet loss.  For each drop probability the
 converged system answers the shared query workload over a
-:class:`~repro.simulator.transport.LossyTransport`; the sweep reports
+``"lossy"`` :class:`~repro.simulator.conditions.ConditionedTransport`; the
+sweep reports
 
 * average recall per eager cycle (how loss slows convergence to the exact
   answer -- dropped forwards are retried, dropped returns lose their

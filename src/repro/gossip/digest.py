@@ -20,7 +20,7 @@ lazy exchange is built on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from ..bloom import PAPER_DIGEST_BITS, BloomFilter
 from ..bloom.bloom import probe_positions
@@ -31,7 +31,7 @@ from .sizes import DIGEST_BYTES
 #: Shared empty common-item set (most probes find nothing in common).
 _EMPTY_ITEMS: "FrozenSet[int]" = frozenset()
 
-#: One priced (receiver, subject) pair as recorded by a pricing worker:
+#: One priced (receiver, subject) pair as returned by a pool pricing worker:
 #: ``(receiver_id, receiver_version, subject_id, digest_version, common)``.
 PricedPair = Tuple[int, int, int, int, FrozenSet[int]]
 
@@ -162,12 +162,6 @@ class DigestCache:
         self.num_bits = num_bits
         self.num_hashes = num_hashes
         self._digests: Dict[int, ProfileDigest] = {}
-        #: When not ``None``, every memo *miss* also appends its
-        #: ``(receiver_id, receiver_version, subject_id, digest_version,
-        #: common_items)`` entry here.  The sharded engine's pricing workers
-        #: record the entries they compute against their snapshot so the
-        #: merge barrier can install them into the live cache.
-        self._recorder: Optional[List[PricedPair]] = None
         #: user_id -> (profile_version, first-position keys, first-position ->
         #: ((item, probe_positions), ...) buckets).  The first-position index
         #: lets one C-level set intersection reject almost every row of a
@@ -176,8 +170,14 @@ class DigestCache:
             int,
             Tuple[int, FrozenSet[int], Dict[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]],
         ] = {}
-        #: subject user_id -> (digest_version, set-bit indices of the digest).
+        #: subject user_id -> (digest_version, set-bit indices of the digest)
+        #: of the subject's most recently used digest version.
         self._bit_positions: Dict[int, Tuple[int, Set[int]]] = {}
+        #: subject user_id -> the entry ``_bit_positions`` held before.  After
+        #: a profile change the stale digest keeps circulating in views next
+        #: to the fresh one; keeping both versions stops them from evicting
+        #: each other and re-decomposing the bit array on every alternation.
+        self._prev_bit_positions: Dict[int, Tuple[int, Set[int]]] = {}
         self._common: Dict[Tuple[int, int], Tuple[int, int, FrozenSet[int]]] = {}
         #: Optional columnar digest backing: ``(DigestMatrix, ColumnarStore)``.
         #: When a user's matrix row matches her profile version, digest
@@ -227,7 +227,7 @@ class DigestCache:
             num_bits, num_hashes = self.num_bits, self.num_hashes
             for item in profile.items:
                 positions.update(probe_positions(item, num_bits, num_hashes))
-            self._bit_positions[profile.user_id] = (cached.version, positions)
+            self._push_positions(profile.user_id, (cached.version, positions))
         return cached
 
     def _adopt_columnar(self, profile: UserProfile) -> Optional[ProfileDigest]:
@@ -246,8 +246,25 @@ class DigestCache:
             user_id=profile.user_id, version=profile.version, bloom=bloom
         )
         self._digests[profile.user_id] = digest
-        self._bit_positions[profile.user_id] = (digest.version, bloom.bit_positions())
+        self._push_positions(profile.user_id, (digest.version, bloom.bit_positions()))
         return digest
+
+    def _push_positions(self, user_id: int, entry: Tuple[int, Set[int]]) -> None:
+        """Make ``entry`` the subject's current set-bit index, keeping the
+        one it replaces as the previous version."""
+        current = self._bit_positions.get(user_id)
+        if current is not None:
+            self._prev_bit_positions[user_id] = current
+        self._bit_positions[user_id] = entry
+
+    def _positions_of(self, digest: ProfileDigest) -> Tuple[int, Set[int]]:
+        """The set-bit index of a digest whose version is not the current
+        entry: the previous entry when it matches, else decomposed afresh."""
+        entry = self._prev_bit_positions.get(digest.user_id)
+        if entry is None or entry[0] != digest.version:
+            entry = (digest.version, digest.bloom.bit_positions())
+        self._push_positions(digest.user_id, entry)
+        return entry
 
     # -- batch probing --------------------------------------------------------
 
@@ -287,8 +304,7 @@ class DigestCache:
             self._rows[receiver.user_id] = rows_entry
         positions_entry = self._bit_positions.get(digest.user_id)
         if positions_entry is None or positions_entry[0] != digest.version:
-            positions_entry = (digest.version, digest.bloom.bit_positions())
-            self._bit_positions[digest.user_id] = positions_entry
+            positions_entry = self._positions_of(digest)
         digest_bits = positions_entry[1]
         # One C-level intersection rejects every item whose first probe bit
         # is clear (the overwhelmingly common case); only the survivors pay
@@ -311,10 +327,6 @@ class DigestCache:
         if len(memo_map) >= self.MAX_COMMON_PAIRS:
             memo_map.clear()
         memo_map[key] = (receiver.version, digest.version, common)
-        if self._recorder is not None:
-            self._recorder.append(
-                (receiver.user_id, receiver.version, digest.user_id, digest.version, common)
-            )
         return common
 
     def common_items_batch(
@@ -336,30 +348,7 @@ class DigestCache:
         """
         return bool(self.common_items(receiver, digest))
 
-    def install_digest(self, user_id: int, version: int, bits: int, count: int) -> None:
-        """Adopt a digest built by a shard-parallel worker.
-
-        ``bits``/``count`` are the worker's :attr:`BloomFilter.raw_bits` /
-        ``approximate_count`` for the user's profile at ``version`` -- by
-        construction identical to what :meth:`digest_for` would build here.
-        The set-bit index set is not shipped (it would dwarf the payload);
-        the first probe decomposes the bit array lazily, yielding the same
-        positions the eager seeding would have produced.
-        """
-        bloom = BloomFilter.from_state(self.num_bits, self.num_hashes, bits, count)
-        self._digests[user_id] = ProfileDigest(user_id=user_id, version=version, bloom=bloom)
-
     # -- sharded-engine pricing hand-off --------------------------------------
-
-    def record_pricing(self, sink: Optional[List["PricedPair"]]) -> None:
-        """Start (or, with ``None``, stop) recording memo misses into ``sink``.
-
-        Used inside pricing workers: the entries a worker computes against
-        its snapshot are exactly the memo rows the serial apply phase would
-        compute, so shipping them back and installing them warms the live
-        cache without any behavioural effect.
-        """
-        self._recorder = sink
 
     def install_common_entries(self, entries: Iterable["PricedPair"]) -> int:
         """Merge-barrier install of priced (receiver, subject) pairs.
@@ -369,7 +358,7 @@ class DigestCache:
         versions it names*: entries priced against a superseded snapshot
         are inert (at worst they waste a slot).  Callers must supply
         internally consistent entries -- value computed by the pricing
-        function from the content those versions denote -- which recorded
+        function from the content those versions denote -- which pool
         worker entries are by construction, since workers run the same pure
         pricing code.  Entries are installed in the order given (the engine
         feeds shards in shard-index order, so the final memo content is
@@ -398,11 +387,13 @@ class DigestCache:
             self._digests.pop(user_id, None)
             self._rows.pop(user_id, None)
             self._bit_positions.pop(user_id, None)
+            self._prev_bit_positions.pop(user_id, None)
 
     def clear(self) -> None:
         self._digests.clear()
         self._rows.clear()
         self._bit_positions.clear()
+        self._prev_bit_positions.clear()
         self._common.clear()
 
     def stats(self) -> Dict[str, int]:
@@ -410,6 +401,6 @@ class DigestCache:
         return {
             "digests": len(self._digests),
             "rows": len(self._rows),
-            "bit_positions": len(self._bit_positions),
+            "bit_positions": len(self._bit_positions) + len(self._prev_bit_positions),
             "common_pairs": len(self._common),
         }

@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
 from ..simulator.conditions import AsymmetrySpec, PartitionSpec, validate_fraction
+from ..simulator.shard import EXECUTORS
 from ..simulator.transport import TRANSPORT_NAMES
 
 #: Storage budgets can be uniform (one int) or heterogeneous (per-user map).
@@ -70,9 +71,8 @@ class P3QConfig:
     #: :mod:`repro.simulator.shard`).
     workers: int = 1
     #: Executor of the sharded engine: ``"auto"`` (persistent pool when the
-    #: machine has the cores for it, inline otherwise), ``"inline"``,
-    #: ``"fork"`` (re-fork every cycle) or ``"pool"`` (long-lived workers
-    #: over shared columnar state).
+    #: machine has the cores for it, inline otherwise), ``"inline"`` or
+    #: ``"pool"`` (long-lived workers over shared columnar state).
     engine_executor: str = "auto"
     #: When set, the traffic collector folds its raw row buffer into the
     #: aggregates every ``stats_flush_every`` cycles, bounding memory on
@@ -159,9 +159,9 @@ class P3QConfig:
         validate_fraction("free_rider_fraction", self.free_rider_fraction)
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers!r}")
-        if self.engine_executor not in ("auto", "inline", "fork", "pool"):
+        if self.engine_executor not in EXECUTORS:
             raise ValueError(
-                f"engine_executor must be 'auto', 'inline', 'fork' or 'pool', "
+                f"engine_executor must be one of {EXECUTORS}, "
                 f"got {self.engine_executor!r}"
             )
         if self.stats_flush_every is not None and self.stats_flush_every < 1:

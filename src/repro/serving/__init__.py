@@ -4,7 +4,7 @@ Layers a serving harness on the cycle simulator: a workload catalogue
 (:mod:`~repro.serving.workloads`), a driver injecting queries at
 configurable concurrency and arrival rates (:mod:`~repro.serving.driver`),
 and the resource plumbing shared with the perf harness
-(:mod:`~repro.serving.resources`).  ``python -m benchmarks.perf --serving``
+(:mod:`~repro.serving.resources`).  ``python -m repro perf --serving``
 sweeps the catalogue across concurrency levels into the BENCH report.
 """
 

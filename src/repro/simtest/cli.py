@@ -2,10 +2,10 @@
 
 Examples::
 
-    python -m repro.simtest --seeds 50 --seed 0      # a fuzzing batch
-    python -m repro.simtest --spec-json '{...}'      # replay one failing spec
-    python -m repro.simtest --list-invariants
-    python -m repro.simtest --self-check             # prove the alarm rings
+    python -m repro simtest --seeds 50 --seed 0      # a fuzzing batch
+    python -m repro simtest --spec-json '{...}'      # replay one failing spec
+    python -m repro simtest --list-invariants
+    python -m repro simtest --self-check             # prove the alarm rings
 
 Output is deliberately free of timings and absolute paths so that two runs
 of the same batch are byte-identical -- determinism of the *driver* is part

@@ -20,7 +20,7 @@ The byte-accounting checker deliberately re-derives the paper's cost model
 (Section 3.3.2 constants) instead of calling
 :func:`repro.gossip.sizes.total_bytes`: the whole point is an *independent*
 pricing of the observed wire traffic, so a regression in the production
-sizers -- the kind injected by ``python -m repro.simtest --self-check`` --
+sizers -- the kind injected by ``python -m repro simtest --self-check`` --
 shows up as a disagreement instead of being trusted twice.
 """
 

@@ -112,9 +112,8 @@ def build_simulation(spec: ScenarioSpec) -> P3QSimulation:
         workers=spec.workers,
         # Fuzzing must exercise the real multi-process path even on
         # one-core CI runners, where "auto" would (correctly) fall back to
-        # inline.  The spec picks fork (re-fork per cycle) or pool
-        # (persistent workers over shared columnar state).
-        engine_executor=spec.engine_executor if spec.workers > 1 else "auto",
+        # inline: force the pool whenever the spec asks for workers.
+        engine_executor="pool" if spec.workers > 1 else "auto",
     )
     simulation = P3QSimulation(dataset, config)
     # Ground-truth community membership, inverted for the correlated-churn

@@ -162,13 +162,9 @@ class ScenarioSpec:
     free_rider_fraction: float = 0.0
 
     #: Worker count of the sharded cycle engine (1 = serial reference).  A
-    #: spec with ``workers > 1`` runs the real multi-process executor and
-    #: the runner cross-checks its fingerprint against the serial twin.
+    #: spec with ``workers > 1`` runs the real multi-process pool executor
+    #: and the runner cross-checks its fingerprint against the serial twin.
     workers: int = 1
-    #: Executor of the sharded engine when ``workers > 1``: ``"fork"``
-    #: (re-fork every cycle) or ``"pool"`` (persistent workers over shared
-    #: columnar state).  Both must fingerprint-match the serial twin.
-    engine_executor: str = "fork"
 
     # -- schedule -------------------------------------------------------------
     lazy_cycles: int = 6
@@ -241,10 +237,6 @@ class ScenarioSpec:
         validate_fraction("free_rider_fraction", self.free_rider_fraction)
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.engine_executor not in ("fork", "pool"):
-            raise ValueError(
-                f"engine_executor must be 'fork' or 'pool', got {self.engine_executor!r}"
-            )
 
     # -- derived views --------------------------------------------------------
 
@@ -302,7 +294,7 @@ class ScenarioSpec:
         if self.dynamics is not None:
             parts.append("dynamics")
         if self.workers > 1:
-            parts.append(f"workers={self.workers}({self.engine_executor})")
+            parts.append(f"workers={self.workers}")
         return " ".join(parts)
 
     # -- serialisation --------------------------------------------------------
@@ -344,7 +336,7 @@ class ScenarioSpec:
     def repro_command(self) -> str:
         """The shell command replaying exactly this scenario."""
         return (
-            "PYTHONPATH=src python -m repro.simtest "
+            "PYTHONPATH=src python -m repro simtest "
             f"--spec-json {shlex.quote(self.to_json())}"
         )
 
@@ -393,7 +385,7 @@ class GeneratorRanges:
     p_large_users: float = 0.06
 
     #: Sharded-engine fuzzing: with probability ``p_workers`` the scenario
-    #: runs on the sharded engine (fork executor) with a worker count drawn
+    #: runs on the sharded engine (pool executor) with a worker count drawn
     #: from ``worker_choices``, and the runner requires its fingerprint to
     #: match the serial twin.  Drawn from an independent seeded stream, so
     #: enabling or tuning it leaves every other field of every scenario
@@ -515,14 +507,10 @@ class ScenarioGenerator:
         # Worker-count dimension from an independent stream (same pattern as
         # the large-N override: the main scenario stream is untouched).
         workers = 1
-        engine_executor = "fork"
         if r.p_workers > 0.0 and r.worker_choices:
             worker_rng = derive_rng(self.master_seed, "simtest", "workers", index)
             if worker_rng.random() < r.p_workers:
                 workers = worker_rng.choice(r.worker_choices)
-                # Fork and pool executors are both pinned bit-identical to
-                # the serial twin; fuzz alternates between them.
-                engine_executor = worker_rng.choice(("fork", "pool"))
 
         # Adversarial dimensions, one independent stream each.
         partition = self._sample_partition(index, lazy_cycles + eager_cycles)
@@ -563,7 +551,6 @@ class ScenarioGenerator:
             asymmetry=asymmetry,
             free_rider_fraction=free_rider_fraction,
             workers=workers,
-            engine_executor=engine_executor,
             lazy_cycles=lazy_cycles,
             eager_cycles=eager_cycles,
             num_queries=num_queries,

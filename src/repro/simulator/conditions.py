@@ -40,9 +40,10 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from .transport import (
     Envelope,
-    LatencyTransport,
     Message,
+    Transport,
     _validate_delay_cycles,
+    _validate_loss_rate,
 )
 
 
@@ -126,8 +127,21 @@ class AsymmetrySpec:
         )
 
 
-class ConditionedTransport(LatencyTransport):
-    """Composes partition + asymmetric-link conditions with loss/latency.
+class ConditionedTransport(Transport):
+    """Seeded loss and latency, composed with partition and asymmetric links.
+
+    * **Loss.**  Every message is independently dropped with probability
+      ``loss_rate``, drawn from the ``"{seed}/transport/loss"`` stream.
+    * **Latency.**  Top-level (``DEFERRABLE``) exchanges are delayed by
+      0..``delay_cycles`` engine cycles, drawn from the
+      ``"{seed}/transport/delay"`` stream; the control sub-requests of an
+      exchange stay synchronous (see :mod:`repro.simulator.transport`).
+
+    Both streams are separate from every node's RNG stream and are drawn
+    only when their rate is non-zero, so a transport with no conditions at
+    all is bit-identical to
+    :class:`~repro.simulator.transport.DirectTransport` and a fixed seed
+    yields a fully deterministic run.
 
     Condition evaluation order per message (matching the base delivery
     path): NAT inbound block (before accounting, like an offline peer) ->
@@ -147,7 +161,11 @@ class ConditionedTransport(LatencyTransport):
         partition: Optional[PartitionSpec] = None,
         asymmetry: Optional[AsymmetrySpec] = None,
     ) -> None:
-        super().__init__(delay_cycles, seed=seed, loss_rate=loss_rate)
+        super().__init__()
+        self.loss_rate = _validate_loss_rate(loss_rate)
+        self.delay_cycles = _validate_delay_cycles(delay_cycles)
+        self._drop_rng = random.Random(f"{seed}/transport/loss")
+        self._delay_rng = random.Random(f"{seed}/transport/delay")
         if partition is not None and not isinstance(partition, PartitionSpec):
             raise TypeError(f"partition must be a PartitionSpec, got {partition!r}")
         if asymmetry is not None and not isinstance(asymmetry, AsymmetrySpec):
@@ -167,6 +185,10 @@ class ConditionedTransport(LatencyTransport):
         self._link_delay_rng = random.Random(f"{seed}/transport/asymmetry/delay")
         #: Messages dropped at an active partition cut (accounted drops).
         self.cut_drops = 0
+
+    @property
+    def drop_rng(self) -> random.Random:
+        return self._drop_rng
 
     # -- condition state -------------------------------------------------------
 
@@ -241,7 +263,7 @@ class ConditionedTransport(LatencyTransport):
         ):
             self.cut_drops += 1
             return True
-        if super()._roll_drop(message, sender, receiver):
+        if self.loss_rate > 0.0 and self._drop_rng.random() < self.loss_rate:
             return True
         asymmetry = self.asymmetry
         if (
@@ -253,7 +275,9 @@ class ConditionedTransport(LatencyTransport):
         return False
 
     def _roll_delay(self, message: Message, sender: int, receiver: int) -> int:
-        delay = super()._roll_delay(message, sender, receiver)
+        delay = 0
+        if self.delay_cycles > 0 and message.DEFERRABLE:
+            delay = self._delay_rng.randint(0, self.delay_cycles)
         asymmetry = self.asymmetry
         if (
             asymmetry is not None

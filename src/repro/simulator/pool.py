@@ -1,11 +1,9 @@
 """Persistent shard worker pool over shared columnar state.
 
-The fork executor of :mod:`repro.simulator.shard` re-forks the whole
-simulation every cycle: correct by construction, but the fork itself is a
-per-cycle tax that grows with the heap -- at N=1,000,000 the snapshot costs
-more than the pricing it buys.  This module replaces the per-cycle fork
-with **long-lived worker processes** over the columnar state of
-:mod:`repro.data.columnar`:
+The parallel executor of :mod:`repro.simulator.shard` prices each lazy
+cycle's digest probes on **long-lived worker processes** over the columnar
+state of :mod:`repro.data.columnar`, instead of snapshotting the object
+heap (whose copy would grow with N):
 
 * **Attach once.**  Workers are forked exactly once, at pool creation, and
   inherit the :class:`~repro.data.columnar.ColumnarStore` (static action
@@ -19,14 +17,13 @@ with **long-lived worker processes** over the columnar state of
   subject)`` pairs for the worker's shard.  Workers keep a tiny overlay
   ``uid -> (version, items)`` over the static store; everything else they
   read straight from shared memory.
-* **Pure replies.**  A worker's reply is the same version-tagged
-  ``PricedPair`` list the fork executor records: value entries the parent
-  installs through :meth:`DigestCache.install_common_entries`, where every
-  memo read re-validates versions -- a mispredicted or stale entry is
-  recomputed exactly as if it had never been installed.  Bit-identity to
-  the serial engine therefore holds for any worker count, exactly as for
-  the fork executor (see the merge-barrier contract in
-  ``repro/simulator/shard.py``).
+* **Pure replies.**  A worker's reply is a version-tagged ``PricedPair``
+  list: value entries the parent installs through
+  :meth:`DigestCache.install_common_entries`, where every memo read
+  re-validates versions -- a mispredicted or stale entry is recomputed
+  exactly as if it had never been installed.  Bit-identity to the serial
+  engine therefore holds for any worker count (see the merge-barrier
+  contract in ``repro/simulator/shard.py``).
 
 Failure is loud, not hanging: a worker that dies mid-barrier raises
 :class:`ShardWorkerError` naming the shard and the cycle instead of
@@ -35,10 +32,9 @@ blocking forever on the result queue.
 
 from __future__ import annotations
 
-import os
 import queue as queue_module
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..data.columnar import ColumnarStore, DigestMatrix, geometry_mask_cache, mask_int
 

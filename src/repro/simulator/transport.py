@@ -23,12 +23,14 @@ pluggable: the same protocol code runs unchanged over
 
 * :class:`DirectTransport` -- synchronous and lossless, bit-identical to the
   seed's direct method calls (the default; all reproduced figures use it);
-* :class:`LossyTransport` -- every message is independently dropped with a
-  seeded per-message probability (gossip under packet loss);
-* :class:`LatencyTransport` -- top-level exchanges are delayed by a seeded
+* :class:`~repro.simulator.conditions.ConditionedTransport` -- every message
+  is independently dropped with a seeded per-message probability (gossip
+  under packet loss), and top-level exchanges are delayed by a seeded
   number of cycles and drained by the engine at the start of later cycles
-  (stale digests, late partial results, churn mid-exchange); it composes
-  with a loss rate.
+  (stale digests, late partial results, churn mid-exchange); partitions and
+  asymmetric links compose on top.  The ``"lossy"`` and ``"latency"``
+  transport names of :func:`make_transport` build it with only a loss rate,
+  or a delay bound plus an optional loss rate.
 
 Delivery semantics
 ------------------
@@ -42,7 +44,7 @@ message (itself subject to delay).  The control sub-requests *inside* an
 exchange (:class:`CommonItemsRequest`, :class:`FullProfileRequest`) always
 complete within the cycle in which the exchange is processed -- real
 round-trip times are far below the paper's 60 s / 5 s cycle lengths -- but
-remain individually droppable by a lossy transport.
+remain individually droppable under a loss rate.
 
 Byte accounting happens in exactly one place, :meth:`Transport._account`:
 every payload-bearing message is priced by
@@ -68,7 +70,6 @@ lifecycle invariants against an independent model of the wire.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
@@ -369,7 +370,7 @@ class Transport:
         for observer in self._observers:
             observer(event)
 
-    # -- condition hooks (overridden by lossy/latency/conditioned transports) --
+    # -- condition hooks (overridden by the conditioned transport) ------------
     #
     # All hooks receive the (sender, receiver) pair so that conditions can be
     # link-local (asymmetric links, partition cuts) as well as global.
@@ -659,54 +660,6 @@ class DirectTransport(Transport):
         return DELIVERED
 
 
-class LossyTransport(Transport):
-    """Drops each message independently with probability ``loss_rate``.
-
-    The drop stream is seeded and separate from every node's RNG stream, so
-    a ``loss_rate`` of 0 is bit-identical to :class:`DirectTransport` and a
-    fixed seed yields a fully deterministic run.
-    """
-
-    name = "lossy"
-
-    def __init__(self, loss_rate: float, seed: int = 0) -> None:
-        super().__init__()
-        self.loss_rate = _validate_loss_rate(loss_rate)
-        self._drop_rng = random.Random(f"{seed}/transport/loss")
-
-    def _roll_drop(self, message: Message, sender: int, receiver: int) -> bool:
-        if self.loss_rate <= 0.0:
-            return False
-        return self._drop_rng.random() < self.loss_rate
-
-    @property
-    def drop_rng(self) -> random.Random:
-        return self._drop_rng
-
-
-class LatencyTransport(LossyTransport):
-    """Delays top-level exchanges by 0..``delay_cycles`` engine cycles.
-
-    Delays are drawn from a seeded stream separate from the drop stream;
-    ``delay_cycles=0`` (with ``loss_rate=0``) is bit-identical to
-    :class:`DirectTransport`.  Only ``DEFERRABLE`` messages are ever queued;
-    the control sub-requests of an exchange stay synchronous (see the module
-    docstring for the semantics).
-    """
-
-    name = "latency"
-
-    def __init__(self, delay_cycles: int, seed: int = 0, loss_rate: float = 0.0) -> None:
-        super().__init__(loss_rate, seed=seed)
-        self.delay_cycles = _validate_delay_cycles(delay_cycles)
-        self._delay_rng = random.Random(f"{seed}/transport/delay")
-
-    def _roll_delay(self, message: Message, sender: int, receiver: int) -> int:
-        if self.delay_cycles <= 0 or not message.DEFERRABLE:
-            return 0
-        return self._delay_rng.randint(0, self.delay_cycles)
-
-
 #: Transport names accepted by :func:`make_transport` / ``P3QConfig.transport``.
 TRANSPORT_NAMES = ("direct", "lossy", "latency", "conditioned")
 
@@ -749,10 +702,13 @@ def make_transport(
 ) -> Transport:
     """Build a transport from configuration values.
 
-    Network-condition parameters that the named transport would silently
-    ignore (a loss rate on ``direct``, a delay on ``lossy``, a partition on
-    anything but ``conditioned``) are rejected: a config carrying them
-    describes a run the transport will not perform.
+    ``"lossy"``, ``"latency"`` and ``"conditioned"`` all build a
+    :class:`~repro.simulator.conditions.ConditionedTransport`; the names
+    differ only in which conditions they accept.  Network-condition
+    parameters that the named transport would silently ignore (a loss rate
+    on ``direct``, a delay on ``lossy``, a partition on anything but
+    ``conditioned``) are rejected: a config carrying them describes a run
+    the transport will not perform.
     """
     _validate_loss_rate(loss_rate)
     _validate_delay_cycles(delay_cycles)
@@ -768,24 +724,20 @@ def make_transport(
                 "(use 'lossy' or 'latency')"
             )
         return DirectTransport()
-    if name == "lossy":
-        if delay_cycles:
-            raise ValueError(
-                f"the lossy transport cannot delay messages; got delay_cycles={delay_cycles!r} "
-                "(use 'latency', which composes delay with a loss rate)"
-            )
-        return LossyTransport(loss_rate, seed=seed)
-    if name == "latency":
-        return LatencyTransport(delay_cycles, seed=seed, loss_rate=loss_rate)
-    if name == "conditioned":
-        # Imported here: the conditions module builds on this one.
-        from .conditions import ConditionedTransport
-
-        return ConditionedTransport(
-            seed=seed,
-            loss_rate=loss_rate,
-            delay_cycles=delay_cycles,
-            partition=partition,
-            asymmetry=asymmetry,
+    if name not in TRANSPORT_NAMES:
+        raise ValueError(f"unknown transport {name!r} (expected one of {TRANSPORT_NAMES})")
+    if name == "lossy" and delay_cycles:
+        raise ValueError(
+            f"the lossy transport cannot delay messages; got delay_cycles={delay_cycles!r} "
+            "(use 'latency', which composes delay with a loss rate)"
         )
-    raise ValueError(f"unknown transport {name!r} (expected one of {TRANSPORT_NAMES})")
+    # Imported here: the conditions module builds on this one.
+    from .conditions import ConditionedTransport
+
+    return ConditionedTransport(
+        seed=seed,
+        loss_rate=loss_rate,
+        delay_cycles=delay_cycles,
+        partition=partition,
+        asymmetry=asymmetry,
+    )

@@ -182,6 +182,39 @@ class TestDigestCache:
         # Correctness never depended on eviction: the next read rebuilds.
         assert cache.digest_for(profile).version == profile.version
 
+    def test_stale_and_fresh_digests_do_not_evict_each_other(self, monkeypatch):
+        """After a profile change the stale digest keeps circulating next to
+        the fresh one; alternating probes of the two must decompose each
+        version's bit array once, not once per alternation."""
+        from repro.bloom import BloomFilter
+
+        calls = []
+        original = BloomFilter.bit_positions
+
+        def counting(bloom):
+            calls.append(bloom.raw_bits)
+            return original(bloom)
+
+        monkeypatch.setattr(BloomFilter, "bit_positions", counting)
+        cache = DigestCache(num_bits=256, num_hashes=3)
+        receiver = UserProfile(1, [(10, 1), (20, 2), (30, 3)])
+        subject = UserProfile(2, [(10, 5)])
+        stale = make_digest(subject, num_bits=256, num_hashes=3)
+        subject.add(20, 6)
+        fresh = make_digest(subject, num_bits=256, num_hashes=3)
+        assert stale.version != fresh.version
+        results = [cache.common_items(receiver, d) for d in (stale, fresh, stale, fresh)]
+        assert results == [frozenset({10}), frozenset({10, 20})] * 2
+        assert len(calls) == 2
+        assert cache.stats()["bit_positions"] == 2
+        cache.evict_profiles([2])
+        assert cache.stats()["bit_positions"] == 0
+        cache.common_items(UserProfile(3, [(10, 1)]), stale)
+        cache.common_items(UserProfile(3, [(10, 1)]), fresh)
+        assert cache.stats()["bit_positions"] == 2
+        cache.clear()
+        assert cache.stats()["bit_positions"] == 0
+
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             DigestCache(num_bits=0)

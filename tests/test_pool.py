@@ -1,8 +1,7 @@
 """Persistent shard worker pool: bit-identity, reuse, loud failure.
 
-The pool executor (see ``repro/simulator/pool.py``) replaces fork-per-cycle
-with long-lived workers over shared columnar state.  Its contract is the
-fork executor's, sharpened:
+The pool executor (see ``repro/simulator/pool.py``) prices each lazy cycle
+on long-lived workers over shared columnar state.  Its contract:
 
 * **bit-identity for any worker count** -- pool runs must match the serial
   engine fingerprint (and the transport golden) exactly, because installs
@@ -113,9 +112,8 @@ class TestWorkerCountInvariance:
         assert run(_simulation(workers=2, executor="pool")) == reference
 
     def test_simtest_twin_check_covers_the_pool_executor(self):
-        spec = ScenarioSpec(
-            workers=2, engine_executor="pool", lazy_cycles=3, eager_cycles=4
-        )
+        # workers > 1 always runs the pool executor under simtest.
+        spec = ScenarioSpec(workers=2, lazy_cycles=3, eager_cycles=4)
         result = run_simtest_scenario(spec)
         assert result.ok, result.violation
         assert "worker-count-equivalence" in result.checked
@@ -136,7 +134,7 @@ class TestPoolReuse:
         assert pool.alive()
         assert pool.barriers_served >= 4
         stats = engine.pricing_stats
-        assert stats["pool_barriers"] == pool.barriers_served
+        assert stats["cycles_priced"] == pool.barriers_served
         assert stats["pairs_predicted"] > 0
         assert stats["entries_installed"] > 0
         assert stats["worker_failures"] == 0

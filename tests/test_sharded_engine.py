@@ -5,15 +5,16 @@ sharded engine is **bit-identical to the serial engine for any worker
 count**: the parallel phase only pre-warms version-validated cache entries
 and the apply phase is the unmodified serial schedule.  The strongest pins:
 
-* the transport golden fixture, replayed through the sharded engine with a
-  real forked worker pool, must match byte for byte;
+* the transport golden fixture, replayed through the sharded engine with
+  real persistent pool workers, must match byte for byte
+  (``tests/test_pool.py``);
 * randomized simtest scenarios must fingerprint-match across
   ``workers in {1, 2, 4}``;
 * deliberately *corrupt* pricing installs (wrong versions, wrong pair)
   must change nothing -- the read-side version validation is what the
   whole design leans on.
 
-The fork executor is forced in these tests so the real multi-process path
+The pool executor is forced in these tests so the real multi-process path
 runs even on single-core CI machines (where ``auto`` would pick inline).
 """
 
@@ -25,7 +26,6 @@ import random
 import pytest
 
 from repro.data import SyntheticConfig, generate_dataset
-from repro.data.queries import QueryWorkloadGenerator
 from repro.p3q import P3QConfig, P3QSimulation
 from repro.simulator import (
     ShardedEngine,
@@ -35,7 +35,7 @@ from repro.simulator import (
     resolve_executor,
 )
 from repro.simulator.rng import SeededRngFactory
-from repro.simulator.shard import EXECUTOR_FORK, EXECUTOR_INLINE
+from repro.simulator.shard import EXECUTOR_INLINE, EXECUTOR_POOL
 from repro.simtest.runner import _execute, run_scenario as run_simtest_scenario
 from repro.simtest.spec import ScenarioGenerator, ScenarioSpec
 
@@ -71,17 +71,27 @@ class TestPartitioning:
 class TestExecutorResolution:
     def test_one_worker_is_always_inline(self):
         assert resolve_executor("auto", 1) == EXECUTOR_INLINE
-        assert resolve_executor("fork", 1) == EXECUTOR_INLINE
+        assert resolve_executor("pool", 1) == EXECUTOR_INLINE
 
     def test_explicit_inline_honoured(self):
         assert resolve_executor("inline", 4) == EXECUTOR_INLINE
 
-    def test_explicit_fork_honoured_on_posix(self):
-        assert resolve_executor("fork", 2) == EXECUTOR_FORK
+    def test_explicit_pool_honoured_on_posix(self):
+        assert resolve_executor("pool", 2) == EXECUTOR_POOL
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
             resolve_executor("threads", 2)
+
+    def test_retired_fork_executor_is_rejected_loudly(self):
+        """The per-cycle fork executor is gone: asking for it is an error
+        naming the accepted values, never a silent fallback."""
+        with pytest.raises(ValueError, match="'auto', 'inline', 'pool'"):
+            resolve_executor("fork", 2)
+        with pytest.raises(ValueError, match="'auto', 'inline', 'pool'"):
+            resolve_executor("fork", 1)
+        with pytest.raises(ValueError, match="'auto', 'inline', 'pool'"):
+            P3QConfig(engine_executor="fork")  # __post_init__ runs validate()
 
 
 # ------------------------------------------------------------ counter streams
@@ -116,11 +126,6 @@ class TestCounterRng:
 
 
 class TestGoldenBitIdentity:
-    def test_sharded_fork_engine_matches_the_transport_golden(self):
-        """The strongest pin: forked pricing workers, golden-identical run."""
-        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-        assert golden_scenario({"workers": 2, "engine_executor": "fork"}) == golden
-
     def test_inline_sharded_engine_matches_the_transport_golden(self):
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
         assert golden_scenario({"workers": 4, "engine_executor": "inline"}) == golden
@@ -216,35 +221,28 @@ class TestPricingInstallSafety:
         clean.run_lazy(3)
         reference = _state_fingerprint(clean)
 
-        poisoned = _tiny_simulation()
-        rng = random.Random(9)
-        users = list(poisoned.nodes)
-        garbage = []
-        for _ in range(200):
-            receiver = rng.choice(users)
-            subject = rng.choice(users)
-            garbage.append(
-                (
-                    receiver,
-                    10_000 + rng.randrange(50),  # version no profile ever reaches
-                    subject,
-                    10_000 + rng.randrange(50),
-                    frozenset(rng.sample(range(260), k=5)),  # nonsense payload
+        # Serial engine, and the pool executor whose own barrier installs
+        # land on top of the garbage.
+        for poisoned in (_tiny_simulation(), _tiny_simulation(workers=2, executor="pool")):
+            rng = random.Random(9)
+            users = list(poisoned.nodes)
+            garbage = []
+            for _ in range(200):
+                receiver = rng.choice(users)
+                subject = rng.choice(users)
+                garbage.append(
+                    (
+                        receiver,
+                        10_000 + rng.randrange(50),  # version no profile ever reaches
+                        subject,
+                        10_000 + rng.randrange(50),
+                        frozenset(rng.sample(range(260), k=5)),  # nonsense payload
+                    )
                 )
-            )
-        assert poisoned.digest_cache.install_common_entries(garbage) == len(garbage)
-        poisoned.run_lazy(3)
-        assert _state_fingerprint(poisoned) == reference
-
-    def test_fork_engine_reports_pricing_activity(self):
-        sim = _tiny_simulation(workers=2, executor="fork")
-        assert isinstance(sim.engine, ShardedEngine)
-        assert sim.engine.executor == "fork"
-        sim.run_lazy(2)
-        stats = sim.engine.pricing_stats
-        assert stats["cycles_priced"] == 2
-        assert stats["entries_installed"] > 0
-        assert stats["worker_failures"] == 0
+            assert poisoned.digest_cache.install_common_entries(garbage) == len(garbage)
+            poisoned.run_lazy(3)
+            assert _state_fingerprint(poisoned) == reference
+            poisoned.close()
 
     def test_inline_executor_is_a_pass_through(self):
         sim = _tiny_simulation(workers=4, executor="inline")
@@ -267,29 +265,33 @@ class TestPricingInstallSafety:
 
 
 class TestParallelBootstrap:
-    def test_fork_bootstrap_matches_serial_bootstrap(self):
+    def test_pool_bootstrap_matches_serial_bootstrap(self):
         serial = _tiny_simulation(workers=1)
-        forked = _tiny_simulation(workers=2, executor="fork")
+        pooled = _tiny_simulation(workers=2, executor="pool")
         assert {
             uid: node.random_view.member_ids() for uid, node in sorted(serial.nodes.items())
         } == {
-            uid: node.random_view.member_ids() for uid, node in sorted(forked.nodes.items())
+            uid: node.random_view.member_ids() for uid, node in sorted(pooled.nodes.items())
         }
         # And the runs that follow stay identical.
         serial.run_lazy(2)
-        forked.run_lazy(2)
-        assert _state_fingerprint(serial) == _state_fingerprint(forked)
+        pooled.run_lazy(2)
+        assert _state_fingerprint(serial) == _state_fingerprint(pooled)
+        pooled.close()
 
     def test_installed_digests_match_locally_built_ones(self):
+        """Digests adopted from pool-built shared rows equal the ones the
+        serial engine builds lazily (which has no matrix to warm)."""
         sim = _tiny_simulation()
-        installed = sim._parallel_digest_build()  # inline engine: no-op
-        assert installed == 0
-        forked = _tiny_simulation(workers=2, executor="fork")
-        for uid, node in forked.nodes.items():
-            digest = forked.digest_cache.digest_for(node.profile)
+        assert sim._build_digests() == 0  # no digest matrix: lazy builds only
+        pooled = _tiny_simulation(workers=2, executor="pool")
+        assert pooled._build_digests() == len(pooled.nodes)
+        for uid, node in pooled.nodes.items():
+            digest = pooled.digest_cache.digest_for(node.profile)
             rebuilt = sim.digest_cache.digest_for(sim.nodes[uid].profile)
             assert digest.bloom == rebuilt.bloom
             assert digest.version == rebuilt.version
+        pooled.close()
 
 
 # ------------------------------------------------------------- spec plumbing
@@ -317,8 +319,17 @@ class TestSpecWorkersDimension:
         for index in range(30):
             a = with_dim.spec(index)
             b = without.spec(index)
-            # workers AND the executor choice belong to the dimension.
-            assert a.but(workers=1, engine_executor="fork") == b
+            assert a.but(workers=1) == b
+
+    def test_old_artifact_naming_an_executor_is_rejected(self):
+        """Failure artifacts from before the executor field was retired
+        carry ``engine_executor``; replaying one must fail, not silently
+        run a different executor."""
+        payload = ScenarioSpec(workers=2).to_dict()
+        assert "engine_executor" not in payload
+        payload["engine_executor"] = "fork"
+        with pytest.raises(TypeError, match="engine_executor"):
+            ScenarioSpec.from_dict(payload)
 
     def test_generator_samples_workers_eventually(self):
         generator = ScenarioGenerator(master_seed=5)

@@ -95,7 +95,7 @@ class TestSpec:
     def test_repro_command_embeds_the_spec(self):
         spec = FAST_SPEC
         command = spec.repro_command()
-        assert "python -m repro.simtest" in command
+        assert "python -m repro simtest" in command
         assert "--spec-json" in command
 
     def test_spec_validation(self):

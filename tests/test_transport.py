@@ -17,6 +17,7 @@ from repro.gossip.sizes import (
 from repro.p3q.config import P3QConfig
 from repro.p3q.node import P3QNode
 from repro.p3q.query import PartialResult
+from repro.simulator.conditions import ConditionedTransport
 from repro.simulator.network import Network
 from repro.simulator.stats import (
     KIND_COMMON_ITEMS,
@@ -42,8 +43,6 @@ from repro.simulator.transport import (
     DirectTransport,
     FullProfilePush,
     FullProfileRequest,
-    LatencyTransport,
-    LossyTransport,
     QueryResult,
     RemainingReturn,
     make_transport,
@@ -181,50 +180,52 @@ class TestDirectTransport:
 
 
 class TestLossyTransport:
+    """The loss condition: ``ConditionedTransport`` as the ``"lossy"`` name builds it."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            LossyTransport(loss_rate=1.5)
+            ConditionedTransport(loss_rate=1.5)
         with pytest.raises(ValueError):
-            LatencyTransport(delay_cycles=-1)
+            ConditionedTransport(delay_cycles=-1)
         with pytest.raises(ValueError):
             make_transport("bogus")
 
     @pytest.mark.parametrize("rate", [-0.01, 1.01, float("nan"), float("inf"), -float("inf")])
     def test_out_of_range_and_non_finite_loss_rates_rejected(self, rate):
         with pytest.raises(ValueError, match="loss_rate"):
-            LossyTransport(loss_rate=rate)
+            ConditionedTransport(loss_rate=rate)
         with pytest.raises(ValueError, match="loss_rate"):
-            LatencyTransport(delay_cycles=1, loss_rate=rate)
+            ConditionedTransport(delay_cycles=1, loss_rate=rate)
 
     @pytest.mark.parametrize("rate", ["0.5", None, True, [0.5]])
     def test_non_numeric_loss_rates_rejected(self, rate):
         with pytest.raises(TypeError, match="loss_rate"):
-            LossyTransport(loss_rate=rate)
+            ConditionedTransport(loss_rate=rate)
 
     @pytest.mark.parametrize("delay", [-1, -100])
     def test_negative_delays_rejected(self, delay):
         with pytest.raises(ValueError, match="delay_cycles"):
-            LatencyTransport(delay_cycles=delay)
+            ConditionedTransport(delay_cycles=delay)
 
     @pytest.mark.parametrize("delay", [1.5, 2.0, "3", None, True])
     def test_non_integer_delays_rejected(self, delay):
         """A float delay would only explode later inside randint; the
         constructor is where the error belongs."""
         with pytest.raises(TypeError, match="delay_cycles"):
-            LatencyTransport(delay_cycles=delay)
+            ConditionedTransport(delay_cycles=delay)
 
     def test_boundary_rates_accepted(self):
-        assert LossyTransport(loss_rate=0.0).loss_rate == 0.0
-        assert LossyTransport(loss_rate=1.0).loss_rate == 1.0
-        assert LossyTransport(loss_rate=0).loss_rate == 0.0  # int zero coerced
-        assert LatencyTransport(delay_cycles=0).delay_cycles == 0
+        assert ConditionedTransport(loss_rate=0.0).loss_rate == 0.0
+        assert ConditionedTransport(loss_rate=1.0).loss_rate == 1.0
+        assert ConditionedTransport(loss_rate=0).loss_rate == 0.0  # int zero coerced
+        assert ConditionedTransport(delay_cycles=0).delay_cycles == 0
 
     def test_full_loss_drops_everything(self, pair, tiny_dataset):
         config = P3QConfig(
             network_size=4, storage=2, random_view_size=3,
             digest_bits=1_024, digest_hashes=4, seed=3,
         )
-        network = Network(transport=LossyTransport(loss_rate=1.0, seed=1))
+        network = Network(transport=ConditionedTransport(loss_rate=1.0, seed=1))
         nodes = {}
         for profile in tiny_dataset.profiles():
             node = P3QNode(profile, config)
@@ -237,8 +238,8 @@ class TestLossyTransport:
         assert dispatch.reply is None
 
     def test_drop_stream_is_deterministic(self):
-        a = LossyTransport(loss_rate=0.5, seed=9)
-        b = LossyTransport(loss_rate=0.5, seed=9)
+        a = ConditionedTransport(loss_rate=0.5, seed=9)
+        b = ConditionedTransport(loss_rate=0.5, seed=9)
         message = FullProfileRequest(subject_id=1)
         rolls_a = [a._roll_drop(message, 0, 1) for _ in range(50)]
         rolls_b = [b._roll_drop(message, 0, 1) for _ in range(50)]
@@ -246,7 +247,7 @@ class TestLossyTransport:
         assert any(rolls_a) and not all(rolls_a)
 
     def test_zero_rate_consumes_no_randomness(self):
-        transport = LossyTransport(loss_rate=0.0, seed=9)
+        transport = ConditionedTransport(loss_rate=0.0, seed=9)
         state = transport.drop_rng.getstate()
         assert not transport._roll_drop(FullProfileRequest(subject_id=1), 0, 1)
         assert transport.drop_rng.getstate() == state
@@ -255,7 +256,7 @@ class TestLossyTransport:
         """A lost reply must not look like a lost request: the receiver's
         side effects already happened, so callers must not retry."""
 
-        class ScriptedDropTransport(LossyTransport):
+        class ScriptedDropTransport(ConditionedTransport):
             def __init__(self, script):
                 super().__init__(loss_rate=0.5, seed=0)  # rate only enables rolling
                 self.script = list(script)
@@ -288,7 +289,7 @@ class TestLossyTransport:
         from repro.data.queries import QueryWorkloadGenerator
         from repro.p3q.protocol import P3QSimulation
 
-        class ReplyDropTransport(LossyTransport):
+        class ReplyDropTransport(ConditionedTransport):
             """Drops exactly the replies to QueryForward messages."""
 
             def __init__(self):
@@ -324,6 +325,8 @@ class TestLossyTransport:
 
 
 class TestLatencyTransport:
+    """The delay condition: ``ConditionedTransport`` as the ``"latency"`` name builds it."""
+
     def _network(self, tiny_dataset, transport):
         config = P3QConfig(
             network_size=4, storage=2, random_view_size=3,
@@ -338,7 +341,7 @@ class TestLatencyTransport:
         return network, nodes
 
     def test_deferrable_messages_queue_and_drain(self, tiny_dataset):
-        transport = LatencyTransport(delay_cycles=3, seed=2)
+        transport = ConditionedTransport(delay_cycles=3, seed=2)
         network, nodes = self._network(tiny_dataset, transport)
         # Try until a non-zero delay is rolled (delays are uniform on 0..3).
         deferred = None
@@ -360,7 +363,7 @@ class TestLatencyTransport:
         assert 0 in nodes[1].random_view
 
     def test_control_requests_are_never_deferred(self, tiny_dataset):
-        transport = LatencyTransport(delay_cycles=5, seed=2)
+        transport = ConditionedTransport(delay_cycles=5, seed=2)
         network, nodes = self._network(tiny_dataset, transport)
         for _ in range(20):
             dispatch = network.transport.request(
@@ -369,15 +372,15 @@ class TestLatencyTransport:
             assert dispatch.status == DELIVERED
 
     def test_delay_stream_is_deterministic(self):
-        a = LatencyTransport(delay_cycles=4, seed=11)
-        b = LatencyTransport(delay_cycles=4, seed=11)
+        a = ConditionedTransport(delay_cycles=4, seed=11)
+        b = ConditionedTransport(delay_cycles=4, seed=11)
         message = RemainingReturn(query_id=1, remaining=(1,))
         assert [a._roll_delay(message, 0, 1) for _ in range(50)] == [
             b._roll_delay(message, 0, 1) for _ in range(50)
         ]
 
     def test_message_to_departed_node_is_lost(self, tiny_dataset):
-        transport = LatencyTransport(delay_cycles=2, seed=4)
+        transport = ConditionedTransport(delay_cycles=2, seed=4)
         network, nodes = self._network(tiny_dataset, transport)
         deferred = False
         for _ in range(16):
@@ -435,7 +438,7 @@ class TestObservers:
             digest_bits=1_024, digest_hashes=4, seed=3,
             transport="lossy", loss_rate=1.0,
         )
-        network = Network(transport=LossyTransport(loss_rate=1.0, seed=1))
+        network = Network(transport=ConditionedTransport(loss_rate=1.0, seed=1))
         nodes = {}
         for profile in tiny_dataset.profiles():
             node = P3QNode(profile, config)
@@ -453,7 +456,7 @@ class TestObservers:
             digest_bits=1_024, digest_hashes=4, seed=3,
             transport="latency", delay_cycles=3,
         )
-        transport = LatencyTransport(delay_cycles=3, seed=2)
+        transport = ConditionedTransport(delay_cycles=3, seed=2)
         network = Network(transport=transport)
         nodes = {}
         for profile in tiny_dataset.profiles():
@@ -476,9 +479,10 @@ class TestMakeTransport:
     def test_builds_each_flavour(self):
         assert isinstance(make_transport("direct"), DirectTransport)
         lossy = make_transport("lossy", loss_rate=0.3, seed=5)
-        assert isinstance(lossy, LossyTransport) and lossy.loss_rate == 0.3
+        assert isinstance(lossy, ConditionedTransport) and lossy.loss_rate == 0.3
+        assert lossy.delay_cycles == 0 and lossy.partition is None
         latency = make_transport("latency", delay_cycles=2, loss_rate=0.1, seed=5)
-        assert isinstance(latency, LatencyTransport)
+        assert isinstance(latency, ConditionedTransport)
         assert latency.delay_cycles == 2 and latency.loss_rate == 0.1
 
     def test_config_validation(self):
@@ -505,4 +509,4 @@ class TestMakeTransport:
             P3QConfig(transport="lossy", delay_cycles=2)
         # Zero-valued conditions remain fine on every transport.
         assert isinstance(make_transport("direct"), DirectTransport)
-        assert isinstance(make_transport("lossy", loss_rate=0.0), LossyTransport)
+        assert isinstance(make_transport("lossy", loss_rate=0.0), ConditionedTransport)

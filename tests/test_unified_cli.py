@@ -1,4 +1,4 @@
-"""Tests for the unified ``python -m repro`` CLI and the deprecated shims."""
+"""Tests for the unified ``python -m repro`` CLI."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from repro.cli import SUBCOMMANDS, add_common_options, main
 
@@ -82,37 +80,6 @@ class TestCommonOptions:
         assert args.seed == 1
         assert not hasattr(args, "workers")
         assert not hasattr(args, "transport")
-
-
-class TestDeprecatedShims:
-    """The legacy module entry points still run, with a DeprecationWarning."""
-
-    def test_simtest_module_shim(self):
-        result = _run_module(["-m", "repro.simtest", "--list-invariants"])
-        assert result.returncode == 0
-        assert "byte-conservation" in result.stdout
-        assert "DeprecationWarning" in result.stderr
-        assert "python -m repro simtest" in result.stderr
-
-    def test_experiments_module_shim(self):
-        result = _run_module(["-m", "repro.experiments.cli", "--list"])
-        assert result.returncode == 0
-        assert "fig2" in result.stdout
-        assert "DeprecationWarning" in result.stderr
-        assert "python -m repro experiments" in result.stderr
-
-    def test_perf_module_shim(self):
-        result = _run_module(["-m", "benchmarks.perf", "--help"])
-        assert result.returncode == 0
-        assert "DeprecationWarning" in result.stderr
-        assert "python -m repro perf" in result.stderr
-
-    def test_service_module_shim(self):
-        result = _run_module(["-m", "repro.service", "--help"])
-        assert result.returncode == 0
-        assert "--demo" in result.stdout
-        assert "DeprecationWarning" in result.stderr
-        assert "python -m repro service" in result.stderr
 
 
 class TestServiceEndToEnd:
